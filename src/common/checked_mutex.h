@@ -1,7 +1,6 @@
 #ifndef HGDB_COMMON_CHECKED_MUTEX_H
 #define HGDB_COMMON_CHECKED_MUTEX_H
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -51,7 +50,6 @@ enum class LockRank : int {
   kRuntimeService = 65,     ///< Runtime session-layer slot (held across construction)
   kRuntimeListener = 60,    ///< Runtime callback slots (change listener / stop handler)
   kRuntimeState = 50,       ///< Runtime scheduler state
-  kRuntimePool = 40,        ///< ThreadPool work queue
   kSessionTransport = 35,   ///< Per-connection protocol state + socket writes
   kWaveformPipeline = 32,   ///< Convert-pipeline error slot (above kWaveform:
                             ///< a writer worker reports a failure, then its
@@ -75,7 +73,6 @@ enum class LockRank : int {
     case LockRank::kRuntimeService: return "runtime::service";
     case LockRank::kRuntimeListener: return "runtime::listener";
     case LockRank::kRuntimeState: return "runtime::state";
-    case LockRank::kRuntimePool: return "runtime::pool";
     case LockRank::kSessionTransport: return "session::transport";
     case LockRank::kWaveformPipeline: return "waveform::pipeline";
     case LockRank::kWaveform: return "waveform";
@@ -91,8 +88,8 @@ enum class LockRank : int {
 namespace detail {
 
 /// Per-thread record of held CheckedMutexes, innermost last. Fixed-size:
-/// the hierarchy is 16 ranks deep and equal ranks never nest, so a depth
-/// past 16 is itself a discipline bug worth aborting on.
+/// the hierarchy has 15 ranks and equal ranks never nest, so a depth past
+/// 16 is itself a discipline bug worth aborting on.
 struct HeldLocks {
   static constexpr int kMaxDepth = 16;
   struct Entry {
@@ -169,7 +166,6 @@ class HGDB_CAPABILITY("mutex") CheckedMutex {
   void lock() HGDB_ACQUIRE() {
     detail::push_lock(this, static_cast<int>(Rank), name_);
     mutex_.lock();
-    held_.store(true, std::memory_order_release);
   }
 
   bool try_lock() HGDB_TRY_ACQUIRE(true) {
@@ -177,27 +173,12 @@ class HGDB_CAPABILITY("mutex") CheckedMutex {
     // the same ordering rule as lock() (it still closes deadlock cycles).
     if (!mutex_.try_lock()) return false;
     detail::push_lock(this, static_cast<int>(Rank), name_);
-    held_.store(true, std::memory_order_release);
     return true;
   }
 
   void unlock() HGDB_RELEASE() {
-    held_.store(false, std::memory_order_release);
     mutex_.unlock();
     detail::pop_lock(this, static_cast<int>(Rank), name_);
-  }
-
-  /// Dynamic "somebody holds this" check for fork/join workers that run
-  /// under a lock taken by the parent thread (ThreadPool::parallel_for
-  /// bodies). Not a substitute for lock(): it proves the capability is
-  /// held, not by whom.
-  void assert_held() const HGDB_ASSERT_CAPABILITY(this) {
-    if (!held_.load(std::memory_order_acquire)) {
-      std::fprintf(stderr, "hgdb: '%s' (rank %s) required but not held\n",
-                   name_, to_string(Rank));
-      std::fflush(stderr);
-      std::abort();
-    }
   }
 
   [[nodiscard]] const char* name() const { return name_; }
@@ -206,7 +187,6 @@ class HGDB_CAPABILITY("mutex") CheckedMutex {
  private:
   std::mutex mutex_;
   const char* name_;
-  std::atomic<bool> held_{false};
 };
 
 #else  // !HGDB_CHECK_LOCK_RANKS
@@ -222,7 +202,6 @@ class HGDB_CAPABILITY("mutex") CheckedMutex {
   void lock() HGDB_ACQUIRE() { mutex_.lock(); }
   bool try_lock() HGDB_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
   void unlock() HGDB_RELEASE() { mutex_.unlock(); }
-  void assert_held() const HGDB_ASSERT_CAPABILITY(this) {}
 
   [[nodiscard]] const char* name() const { return "<unchecked>"; }
   static constexpr LockRank rank() { return Rank; }
@@ -293,7 +272,6 @@ using ClientsMutex = CheckedMutex<LockRank::kSessionClients>;
 using ServiceMutex = CheckedMutex<LockRank::kRuntimeService>;
 using ListenerMutex = CheckedMutex<LockRank::kRuntimeListener>;
 using StateMutex = CheckedMutex<LockRank::kRuntimeState>;
-using PoolMutex = CheckedMutex<LockRank::kRuntimePool>;
 using TransportMutex = CheckedMutex<LockRank::kSessionTransport>;
 using PipelineMutex = CheckedMutex<LockRank::kWaveformPipeline>;
 using WaveformMutex = CheckedMutex<LockRank::kWaveform>;

@@ -14,8 +14,6 @@ using rpc::StopEvent;
 
 namespace {
 
-constexpr size_t kDefaultEvalThreads = 4;
-
 /// Renders a value the way the IDE variable pane shows it.
 std::string render(const BitVector& value) { return value.to_string(10); }
 
@@ -120,9 +118,6 @@ void Runtime::attach() {
     if (symbol_names.size() >= 64) break;
   }
   mapper_.emplace(interface_->signal_names(), symbol_names, symbol_root);
-
-  pool_ = std::make_unique<ThreadPool>(
-      options_.eval_threads != 0 ? options_.eval_threads : kDefaultEvalThreads);
 
   {
     // Arm time for every symbol-table enable condition: compile and
@@ -362,49 +357,36 @@ void Runtime::collect_watch_hits(std::vector<rpc::WatchHit>& hits) {
   const bool compiled = options_.compiled_eval;
   if (compiled) ensure_edge_values_locked();
 
-  // Same batch path as breakpoint conditions: one parallel_for per edge.
-  // In compiled mode a watchpoint none of whose input signals changed
-  // since its last evaluation is skipped outright — its value cannot have
-  // changed, so it cannot fire.
-  const size_t count = watchpoints_.size();
-  std::vector<std::optional<BitVector>> current(count);
-  std::vector<uint8_t> evaluated(count, 0);
-  std::vector<uint8_t> skipped(count, 0);
-  pool_->parallel_for(count, [&](size_t i) {
-    // Fork/join: the sim thread holds state_mutex_ until the job drains.
-    state_mutex_.assert_held();
-    auto& wp = watchpoints_[i];
-    if (compiled && wp.compiled) {
-      if (wp.eval_serial != 0 && deps_serial(wp.dep_slots) <= wp.eval_serial) {
-        skipped[i] = 1;
-        return;
-      }
-      const BitVector* value = eval_predicate_value(*wp.compiled, plan_);
-      if (value != nullptr) current[i] = *value;
-      wp.eval_serial = plan_.serial;
-      evaluated[i] = 1;
-      return;
-    }
-    try {
-      current[i] =
-          wp.expr.evaluate(instance_resolver(wp.instance_id, wp.instance_name));
-    } catch (const std::exception&) {
-      current[i] = std::nullopt;
-    }
-    evaluated[i] = 1;
-  });
+  // Same serial pass as breakpoint batches. In compiled mode a watchpoint
+  // none of whose input signals changed since its last evaluation is
+  // skipped outright — its value cannot have changed, so it cannot fire.
   uint64_t evaluated_count = 0;
   uint64_t skipped_count = 0;
-  for (size_t i = 0; i < count; ++i) {
-    evaluated_count += evaluated[i];
-    skipped_count += skipped[i];
-    if (!current[i]) continue;
-    auto& wp = watchpoints_[i];
-    if (wp.last && *wp.last != *current[i]) {
-      hits.push_back(rpc::WatchHit{wp.id, wp.text, render(*wp.last),
-                                   render(*current[i])});
+  for (auto& wp : watchpoints_) {
+    std::optional<BitVector> current;
+    if (compiled && wp.compiled) {
+      if (wp.eval_serial != 0 && deps_serial(wp.dep_slots) <= wp.eval_serial) {
+        ++skipped_count;
+        continue;
+      }
+      const BitVector* value = eval_predicate_value(*wp.compiled, plan_);
+      if (value != nullptr) current = *value;
+      wp.eval_serial = plan_.serial;
+    } else {
+      try {
+        current = wp.expr.evaluate(
+            instance_resolver(wp.instance_id, wp.instance_name));
+      } catch (const std::exception&) {
+        // Unresolvable this edge: no value, so no change to report.
+      }
     }
-    wp.last = std::move(current[i]);
+    ++evaluated_count;
+    if (!current) continue;
+    if (wp.last && *wp.last != *current) {
+      hits.push_back(
+          rpc::WatchHit{wp.id, wp.text, render(*wp.last), render(*current)});
+    }
+    wp.last = std::move(current);
   }
   stats_.watchpoints_evaluated->add(evaluated_count);
   stats_.dirty_skips->add(skipped_count);
@@ -1135,22 +1117,54 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
   const bool compiled = options_.compiled_eval;
   if (compiled) ensure_edge_values_locked();
 
-  const size_t count = batch.members.size();
-  std::vector<uint8_t> fired(count, 0);
-  std::vector<uint8_t> evaluated(count, 0);
-  std::vector<uint8_t> skipped(count, 0);
+  // Interpreted reference path: tree walk per member through the
+  // string-keyed resolver. Returns whether the member fires.
+  auto interpreted_hit = [this](Breakpoint& bp, bool need_cond) {
+    const auto resolver = breakpoint_resolver(bp);
+    if (!need_cond) bp.matched.clear();
+    try {
+      if (bp.enable && !bp.enable->evaluate_bool(resolver)) return false;
+      if (!need_cond) return true;
+      bp.matched.clear();
+      bool any = bp.uncond_refs > 0;
+      for (const auto& arm : bp.conditions) {
+        bool value = false;
+        try {
+          value = arm.expr && arm.expr->evaluate_bool(resolver);
+        } catch (const std::exception&) {
+          // This arm faults; other sessions' arms still decide.
+        }
+        if (value) {
+          any = true;
+          bp.matched.push_back(arm.text);
+        }
+      }
+      return any;
+    } catch (const std::exception&) {
+      // Unresolvable symbols (optimized away, trace without the signal):
+      // treat as not-hit, consistent with how debuggers degrade.
+      return false;
+    }
+  };
 
-  // Compiled fast path: flat programs over the pre-fetched value plan,
-  // with a change-driven cache — a member none of whose input signals
-  // changed since its last evaluation reuses the cached verdicts (the
-  // enable's and every condition arm's).
-  auto evaluate_member_compiled = [&](size_t position) {
-    // Fork/join: the sim thread holds state_mutex_ until the job drains.
-    state_mutex_.assert_held();
-    const size_t member = batch.members[position];
+  // Fig. 2 step 2, on the simulation thread: members run in symbol-table
+  // order, so hits (and the stop's frames) come out in that order too.
+  uint64_t evaluated_count = 0;
+  uint64_t skipped_count = 0;
+  for (const size_t member : batch.members) {
     Breakpoint& bp = breakpoints_[member];
-    if (respect_inserted && !bp.inserted) return;
+    if (respect_inserted && !bp.inserted) continue;
     const bool need_cond = respect_inserted && !bp.conditions.empty();
+    if (!compiled) {
+      if (bp.enable || need_cond) ++evaluated_count;
+      if (interpreted_hit(bp, need_cond)) hits.push_back(member);
+      continue;
+    }
+
+    // Compiled fast path: flat programs over the pre-fetched value plan,
+    // with a change-driven cache — a member none of whose input signals
+    // changed since its last evaluation reuses the cached verdicts (the
+    // enable's and every condition arm's).
     const bool has_work = bp.compiled_enable.has_value() || need_cond;
     if (bp.eval_serial == 0 || deps_serial(bp.dep_slots) > bp.eval_serial) {
       // Inputs changed: every cached verdict is stale.
@@ -1192,68 +1206,14 @@ void Runtime::evaluate_batch(const Batch& batch, bool respect_inserted,
     }
     bp.eval_serial = plan_.serial;
     if (did_eval) {
-      evaluated[position] = 1;
+      ++evaluated_count;
     } else if (has_work) {
-      skipped[position] = 1;
+      ++skipped_count;
     }
     // Step-mode hits bypass conditions: never leave a stale matched set
     // behind for make_frame to pick up.
     if (!need_cond) bp.matched.clear();
-    if (hit) fired[position] = 1;
-  };
-
-  // Interpreted reference path: tree walk per member through the
-  // string-keyed resolver.
-  auto evaluate_member_interpreted = [&](size_t position) {
-    state_mutex_.assert_held();
-    const size_t member = batch.members[position];
-    Breakpoint& bp = breakpoints_[member];
-    if (respect_inserted && !bp.inserted) return;
-    const bool need_cond = respect_inserted && !bp.conditions.empty();
-    if (bp.enable || need_cond) {
-      evaluated[position] = 1;
-    }
-    const auto resolver = breakpoint_resolver(bp);
-    if (!need_cond) bp.matched.clear();
-    try {
-      if (bp.enable && !bp.enable->evaluate_bool(resolver)) return;
-      if (need_cond) {
-        bp.matched.clear();
-        bool any = bp.uncond_refs > 0;
-        for (const auto& arm : bp.conditions) {
-          bool value = false;
-          try {
-            value = arm.expr && arm.expr->evaluate_bool(resolver);
-          } catch (const std::exception&) {
-            // This arm faults; other sessions' arms still decide.
-          }
-          if (value) {
-            any = true;
-            bp.matched.push_back(arm.text);
-          }
-        }
-        if (!any) return;
-      }
-      fired[position] = 1;
-    } catch (const std::exception&) {
-      // Unresolvable symbols (optimized away, trace without the signal):
-      // treat as not-hit, consistent with how debuggers degrade.
-    }
-  };
-
-  // Fig. 2 step 2: evaluate the batch in parallel.
-  if (compiled) {
-    pool_->parallel_for(count, evaluate_member_compiled);
-  } else {
-    pool_->parallel_for(count, evaluate_member_interpreted);
-  }
-
-  uint64_t evaluated_count = 0;
-  uint64_t skipped_count = 0;
-  for (size_t position = 0; position < count; ++position) {
-    evaluated_count += evaluated[position];
-    skipped_count += skipped[position];
-    if (fired[position]) hits.push_back(batch.members[position]);
+    if (hit) hits.push_back(member);
   }
   stats_.batches_evaluated->add(1);
   stats_.conditions_evaluated->add(evaluated_count);

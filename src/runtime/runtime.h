@@ -14,7 +14,6 @@
 #include "rpc/channel.h"
 #include "rpc/protocol.h"
 #include "runtime/expression.h"
-#include "runtime/thread_pool.h"
 #include "symbols/symbol_table.h"
 #include "vpi/hierarchy.h"
 #include "vpi/sim_interface.h"
@@ -26,9 +25,6 @@ class SessionManager;
 namespace hgdb::runtime {
 
 struct RuntimeOptions {
-  /// Threads used to evaluate a breakpoint batch in parallel (Fig. 2 step
-  /// 2). 1 = sequential; 0 = a small automatic default.
-  size_t eval_threads = 0;
   /// Collect per-edge statistics (cheap counters).
   bool collect_stats = true;
   /// Evaluate breakpoint/watchpoint conditions through the compiled
@@ -70,9 +66,13 @@ struct RuntimeOptions {
 /// at clock edges with the Fig. 2 scheduling loop:
 ///
 ///   @(posedge clk): fetch the next batch of breakpoints sharing a source
-///   location -> evaluate enable + user conditions in parallel -> if any
-///   hit, reconstruct stack frames and notify the debugger -> wait for a
+///   location -> evaluate enable + user conditions -> if any hit,
+///   reconstruct stack frames and notify the debugger -> wait for a
 ///   command -> repeat; exit the loop when no batch is left.
+///
+/// The paper evaluates a batch in parallel; here every batch runs serially
+/// on the simulation thread, which measured faster at every batch width
+/// (README "Evaluation pipeline").
 ///
 /// The fast path — no breakpoints or watchpoints inserted — returns
 /// immediately, which is why the measured simulation overhead stays under
@@ -273,9 +273,8 @@ class Runtime {
   /// arming the same condition text hold one CompiledExpression (CSE via
   /// the normalized-AST program cache) with per-instance slot maps
   /// (`bindings`). `ptrs` and `scratch` are per-predicate evaluation
-  /// state — a batch member is evaluated by exactly one pool thread and
-  /// CompiledExpression::evaluate is const over the program, so no further
-  /// synchronization is needed.
+  /// state, touched only under state_mutex_; CompiledExpression::evaluate
+  /// is const over the shared program.
   struct CompiledPredicate {
     std::shared_ptr<const CompiledExpression> expr;
     std::vector<SlotBinding> bindings;
@@ -313,7 +312,7 @@ class Runtime {
     uint64_t eval_serial = 0;  ///< 0 = no cached result
     uint8_t cached = 0;        ///< kCacheHasEnable | kCacheEnableTrue
     /// Condition texts that matched at the last hit (scratch; written by
-    /// the evaluating pool thread, read by make_frame on the sim thread).
+    /// evaluate_batch, read by make_frame).
     std::vector<std::string> matched;
   };
 
@@ -400,7 +399,8 @@ class Runtime {
   /// Scans batches in [start, end) in the given direction; returns true if
   /// the scan stopped (and the next scan position via *resume).
   bool scan_batches(uint64_t time, bool reverse, size_t start_index);
-  /// Evaluates one batch; fills `hits` with member indexes that fired.
+  /// Evaluates one batch; appends the member indexes that fired to `hits`,
+  /// in member (symbol-table) order.
   void evaluate_batch(const Batch& batch, bool respect_inserted,
                       std::vector<size_t>& hits);
   /// Evaluates every armed watchpoint (batch path); appends change hits.
@@ -484,12 +484,8 @@ class Runtime {
   std::map<int64_t, std::string> instance_names_;
   std::optional<vpi::HierarchyMapper> mapper_;
   std::optional<uint64_t> callback_handle_;
-  std::unique_ptr<ThreadPool> pool_;
 
-  // Scheduler state (sim thread + service threads). Pool workers inside
-  // ThreadPool::parallel_for access the guarded members under the *parent*
-  // thread's hold (fork/join: the parent blocks until the job drains) and
-  // assert the capability via state_mutex_.assert_held().
+  // Scheduler state (sim thread + service threads).
   mutable common::StateMutex state_mutex_{"runtime::state"};
   std::atomic<bool> any_inserted_{false};
   std::atomic<bool> any_watch_{false};

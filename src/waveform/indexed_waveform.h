@@ -46,8 +46,7 @@ struct WaveformOpenOptions {
 /// aliased name are served through the canonical signal's directory.
 ///
 /// Thread-safe for concurrent queries (one mutex around the cache + read
-/// scratch; the debugger runtime evaluates breakpoint batches from a
-/// pool).
+/// scratch).
 class IndexedWaveform final : public WaveformSource {
  public:
   static constexpr size_t kDefaultCacheBlocks = waveform::kDefaultCacheBlocks;

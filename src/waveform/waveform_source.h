@@ -32,8 +32,7 @@ inline constexpr size_t kDefaultCacheBlocks = 64;
 ///                             bounded by the cache capacity — the
 ///                             production-scale backend.
 ///
-/// Implementations must be safe for concurrent value_at() calls: the
-/// runtime's breakpoint batches evaluate conditions from a thread pool.
+/// Implementations must be safe for concurrent value_at() calls.
 class WaveformSource {
  public:
   virtual ~WaveformSource() = default;

@@ -26,7 +26,7 @@ class SuppressedSender {
 
  private:
   int fd_ = -1;
-  common::PoolMutex mutex_{"fixture_suppressed::pool"};
+  common::TransportMutex mutex_{"fixture_suppressed::send"};
 };
 
 }  // namespace fixture_suppressed

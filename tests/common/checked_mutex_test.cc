@@ -87,29 +87,6 @@ TEST(CheckedMutexDeathTest, EqualRankNestingAborts) {
       "lock rank inversion.*test::send.*test::state");
 }
 
-TEST(CheckedMutexDeathTest, AssertHeldAbortsWhenUnheld) {
-  if (!kChecksEnabled) GTEST_SKIP() << "rank checks compiled out";
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  StateMutex state{"test::state"};
-  EXPECT_DEATH(state.assert_held(), "required but not held");
-}
-
-TEST(CheckedMutex, AssertHeldPassesUnderLock) {
-  StateMutex state{"test::state"};
-  LockGuard lock(state);
-  state.assert_held();  // aborts (fails the test) if the flag is wrong
-}
-
-TEST(CheckedMutex, AssertHeldSeesParentHoldFromWorkerThread) {
-  // The ThreadPool::parallel_for pattern: the parent takes the lock, the
-  // workers assert it. The capability is held by *somebody* — that is
-  // exactly what the fork/join contract needs.
-  StateMutex state{"test::state"};
-  LockGuard lock(state);
-  std::thread worker([&] { state.assert_held(); });
-  worker.join();
-}
-
 TEST(CheckedMutex, OutOfOrderReleaseIsLegal) {
   // Hand-over-hand: acquire A then B, release A before B. The held-stack
   // must tolerate non-LIFO release (UniqueLock + condition_variable_any

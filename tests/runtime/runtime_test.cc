@@ -230,16 +230,6 @@ TEST_F(RuntimeTest, DetachSilencesCallbacks) {
   EXPECT_EQ(runtime_->stats().clock_edges, 0u);
 }
 
-TEST_F(RuntimeTest, SequentialEvalMatchesParallel) {
-  // Ablation hook: 1-thread pool must produce identical stops.
-  RuntimeOptions options;
-  options.eval_threads = 1;
-  build(kDemo, options);
-  runtime_->add_breakpoint("demo.cc", 9);
-  auto stops = run_collecting(8);
-  EXPECT_EQ(stops.size(), 5u);  // same as the parallel-pool run
-}
-
 // -- concurrent instances: the paper's Fig. 4 B "threads" ----------------------
 
 constexpr const char* kMultiInstance = R"(circuit Top
@@ -304,6 +294,84 @@ TEST_F(RuntimeTest, HierarchicalEvaluatePerInstance) {
   simulator_->run(4);
   EXPECT_EQ(runtime_->evaluate("acc", std::nullopt, "Top.w0")->to_uint64(), 4u);
   EXPECT_EQ(runtime_->evaluate("acc", std::nullopt, "Top.w2")->to_uint64(), 12u);
+}
+
+/// Eight Worker instances share every source line; line 7 is enabled only
+/// in instances with an odd bias (w0, w2, w4, w6 — bias = index + 1).
+std::string wide_design() {
+  std::string text = R"(circuit Top
+  module Worker
+    input clock : Clock
+    input bias : UInt<8>
+    output out : UInt<8>
+    reg acc : UInt<8> clock clock
+    connect acc = add(acc, bias) @[wide.cc 3 1]
+    wire t : UInt<8> @[wide.cc 4 1]
+    connect t = acc @[wide.cc 5 1]
+    when eq(bits(bias, 0, 0), UInt<1>(1)) @[wide.cc 6 1]
+      connect t = add(t, bias) @[wide.cc 7 3]
+    end
+    connect out = t @[wide.cc 8 1]
+  end
+  module Top
+    input clock : Clock
+    output out : UInt<8>
+)";
+  for (int i = 0; i < 8; ++i) {
+    text += "    inst w" + std::to_string(i) + " of Worker\n";
+  }
+  for (int i = 0; i < 8; ++i) {
+    const std::string w = "w" + std::to_string(i);
+    text += "    connect " + w + ".clock = clock\n";
+    text += "    connect " + w + ".bias = UInt<8>(" + std::to_string(i + 1) +
+            ")\n";
+  }
+  text += "    connect out = w0.out\n  end\nend\n";
+  return text;
+}
+
+TEST_F(RuntimeTest, WideBatchFiresEnabledMembersInSymbolTableOrder) {
+  const std::string design = wide_design();
+  for (const bool compiled : {true, false}) {
+    RuntimeOptions options;
+    options.compiled_eval = compiled;
+    build(design.c_str(), options);
+    ASSERT_EQ(runtime_->add_breakpoint("wide.cc", 7).size(), 8u);
+    std::map<int64_t, size_t> member_position;
+    for (const auto& row : table_->all_breakpoints()) {
+      if (row.filename == "wide.cc" && row.line_num == 7) {
+        member_position.emplace(row.id, member_position.size());
+      }
+    }
+    ASSERT_EQ(member_position.size(), 8u);
+
+    std::vector<std::vector<rpc::Frame>> stops;
+    runtime_->set_stop_handler([&](const rpc::StopEvent& event) {
+      stops.push_back(event.frames);
+      return Command::Continue;
+    });
+    uint64_t work = 0;  // members evaluated or dirty-skipped so far
+    for (size_t edge = 1; edge <= 4; ++edge) {
+      simulator_->run(1);
+      const auto stats = runtime_->stats();
+      const uint64_t now = stats.conditions_evaluated + stats.dirty_skips;
+      EXPECT_EQ(now - work, 8u) << "compiled=" << compiled << " edge=" << edge;
+      work = now;
+      ASSERT_EQ(stops.size(), edge) << "compiled=" << compiled;
+      const auto& frames = stops.back();
+      ASSERT_EQ(frames.size(), 4u) << "compiled=" << compiled;
+      const std::vector<std::string> enabled = {"Top.w0", "Top.w2", "Top.w4",
+                                                "Top.w6"};
+      for (size_t i = 0; i < frames.size(); ++i) {
+        EXPECT_EQ(frames[i].instance_name, enabled[i]);
+        EXPECT_EQ(frames[i].line, 7u);
+        if (i > 0) {
+          EXPECT_LT(member_position.at(frames[i - 1].breakpoint_id),
+                    member_position.at(frames[i].breakpoint_id));
+        }
+      }
+    }
+  }
 }
 
 // -- compiled evaluation pipeline ---------------------------------------------

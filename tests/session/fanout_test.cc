@@ -322,24 +322,21 @@ TEST_F(DisconnectOnOverflowTest, OverflowDisconnectsWhenConfigured) {
   ASSERT_EQ(runtime_->session_manager()->session_count(), 2u);
 
   // The JSON control client rides the same bounded writer queues as the
-  // binary one, so it can never head-of-line-block the storm — but with
-  // disconnect_on_overflow armed it must keep reading or the overflow
-  // policy would disconnect *it* too, and this test wants the stalled
-  // client to be the one that dies.
-  std::atomic<bool> storm_done{false};
-  std::thread drain([&] {
-    while (!storm_done.load()) {
-      control->wait_stop(std::chrono::milliseconds(100));
-    }
-  });
-
+  // binary one, and with disconnect_on_overflow armed any overflow kills
+  // it too — while this test wants the stalled client to be the one that
+  // dies. Two padded stops already exceed the byte budget, so a producer
+  // that outruns the writer thread (a loaded machine is enough) would
+  // overflow the control queue even while the client reads. The storm
+  // therefore runs in lockstep with the control client: each stop is read
+  // back before the next is delivered, so the control queue never holds
+  // more than one frame, and only the stalled client's queue can fill.
   auto& service = runtime_->session_manager()->service();
   for (int i = 0; i < 4000; ++i) {
     service.deliver_stop(make_stop(static_cast<uint64_t>(i), 16 * 1024));
+    ASSERT_TRUE(control->wait_stop(std::chrono::seconds(10)).has_value())
+        << "control client lost stop " << i;
     if (runtime_->session_manager()->session_count() < 2) break;
   }
-  storm_done.store(true);
-  drain.join();
   // The overflow marks the session dead synchronously; its reader thread
   // then reaps it. The JSON control client is untouched.
   const auto deadline =

@@ -183,11 +183,6 @@ class BlockingChecker:
         self.nonblocking_functions = {
             entry["function"]
             for entry in contracts.get("nonblocking_functions", [])}
-        # bounded fork-join barriers: they do block, but only on work the
-        # caller itself scheduled — exempt from may-block propagation
-        self.nonblocking_functions |= {
-            entry["function"]
-            for entry in contracts.get("bounded_join_functions", [])}
         self.may_block: dict[str, bool] = {}
         self.block_reason: dict[str, str] = {}
 
@@ -677,6 +672,34 @@ def apply_suppressions(findings: list[Finding],
                 f.justification = s.justification
                 s.used = True
     return findings + extra
+
+
+# ---------------------------------------------------------------------------
+# stale contracts
+# ---------------------------------------------------------------------------
+
+
+def stale_contract_findings(model: CodeModel, contracts: dict,
+                            contract_path: str) -> list[Finding]:
+    """A `nonblocking_functions` entry naming no function in the code model
+    is stale: the code it excused is gone, and the entry would silently
+    excuse whatever reuses the name later."""
+    known = {fn.key for fn in model.functions.values()}
+    with open(contract_path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    findings = []
+    for entry in contracts.get("nonblocking_functions", []):
+        name = entry["function"]
+        if name in known:
+            continue
+        quoted = f'"{name}"'
+        line = next((i for i, text in enumerate(lines, 1) if quoted in text),
+                    1)
+        findings.append(Finding(
+            "stale-contract", contract_path, line,
+            f"nonblocking_functions names {name}, which is defined nowhere "
+            f"in the analyzed sources; delete the entry"))
+    return findings
 
 
 def run_all(model: CodeModel, contracts: dict, repo_root: str,

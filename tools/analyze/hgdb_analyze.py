@@ -7,6 +7,9 @@ Checker families (see checkers.py and model.json):
                         while a CheckedMutex is held
   callback-under-lock   user-supplied callables invoked under a lock
   exhaustiveness        wire enums and metric names vs their README tables
+  stale-contract        model.json nonblocking_functions entries naming a
+                        function the sources no longer define (reported
+                        with blocking-under-lock, whose waivers they are)
 
 Driven by build/compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is
 always on in this repo); falls back to globbing src/ when the build tree
@@ -173,6 +176,25 @@ def self_test(root: str, corpus: str, contracts: dict) -> int:
         if not expectations and file_findings:
             pass  # already reported above as unexpected
 
+    # -- stale contracts against the same fixture model ---------------------
+    stale_json = os.path.join(corpus, "contracts", "stale.json")
+    if os.path.exists(stale_json):
+        with open(stale_json, "r", encoding="utf-8") as f:
+            spec = json.load(f)
+        stale = checkers_mod.stale_contract_findings(model, spec, stale_json)
+        messages = [f.message for f in stale]
+        for name in spec["expect_stale"]:
+            total_expect += 1
+            if not any(f" {name}," in msg for msg in messages):
+                failures.append(
+                    f"{stale_json}: expected a stale-contract finding for "
+                    f"{name}; got {messages}")
+        if len(stale) != len(spec["expect_stale"]):
+            failures.append(
+                f"{stale_json}: expected exactly "
+                f"{len(spec['expect_stale'])} stale-contract findings, "
+                f"analyzer reported {len(stale)}: {messages}")
+
     # -- exhaustiveness over the mini-repo fixture --------------------------
     mini = os.path.join(corpus, "exhaustiveness")
     expect_json = os.path.join(mini, "expect.json")
@@ -259,6 +281,11 @@ def main() -> int:
         return 2
     model = build_model(root, files)
     findings = checkers_mod.run_all(model, contracts, root, args.checker)
+    if not args.checker or "blocking-under-lock" in args.checker:
+        for f in checkers_mod.stale_contract_findings(model, contracts,
+                                                      model_path):
+            f.file = os.path.relpath(f.file, root)
+            findings.append(f)
     report(findings, args.report, args.show_suppressed)
     return 1 if any(not f.suppressed for f in findings) else 0
 
