@@ -1,8 +1,10 @@
 #ifndef HGDB_COMMON_JSON_H
 #define HGDB_COMMON_JSON_H
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,8 +57,11 @@ class Json {
   [[nodiscard]] bool is_object() const { return type_ == Type::Object; }
 
   [[nodiscard]] bool as_bool() const { expect(Type::Bool); return bool_; }
+  /// Doubles truncate toward zero and saturate at the int64 limits (NaN
+  /// reads as 0): a plain cast of an out-of-range double such as an
+  /// untrusted `1e300` is undefined behaviour.
   [[nodiscard]] int64_t as_int() const {
-    if (type_ == Type::Double) return static_cast<int64_t>(double_);
+    if (type_ == Type::Double) return saturating_int(double_);
     expect(Type::Int);
     return int_;
   }
@@ -111,6 +116,13 @@ class Json {
   static Json parse(std::string_view text);
 
  private:
+  static int64_t saturating_int(double value) {
+    constexpr double kTwoTo63 = 9223372036854775808.0;  // 2^63, exact
+    if (std::isnan(value)) return 0;
+    if (value >= kTwoTo63) return std::numeric_limits<int64_t>::max();
+    if (value < -kTwoTo63) return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(value);
+  }
   void expect(Type type) const {
     if (type_ != type) throw std::runtime_error("Json type mismatch");
   }

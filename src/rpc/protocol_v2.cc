@@ -77,60 +77,62 @@ bool is_v2_envelope(const Json& json) {
          version->get().as_int() >= kProtocolV2;
 }
 
-DecodedRequestV2 decode_request_v2(const Json& json) {
+namespace {
+
+/// Moves the optional "payload" member out of a parsed message into `out`;
+/// false when it is present but not an object.
+bool take_payload(Json& json, Json& out) {
+  auto& members = json.as_object();
+  auto it = members.find("payload");
+  if (it == members.end()) return true;
+  if (!it->second.is_object()) return false;
+  out = std::move(it->second);
+  return true;
+}
+
+}  // namespace
+
+DecodedRequestV2 parse_request_v2(const std::string& text) {
   DecodedRequestV2 decoded;
+  decoded.error = ErrorCode::MalformedRequest;
+  Json json;
+  try {
+    json = Json::parse(text);
+  } catch (const std::exception& error) {
+    decoded.reason = std::string("malformed request: ") + error.what();
+    return decoded;
+  }
   if (!json.is_object()) {
-    decoded.error = ErrorCode::MalformedRequest;
     decoded.reason = "request is not a JSON object";
     return decoded;
   }
   // Best-effort token extraction first, so even broken envelopes get their
   // error correlated back to the request.
-  if (auto token = json.get("token"); token && token->get().is_number()) {
+  auto token = json.get("token");
+  if (token && token->get().is_number()) {
     decoded.request.token = token->get().as_int();
   }
   if (!is_v2_envelope(json)) {
-    decoded.error = ErrorCode::MalformedRequest;
     decoded.reason = "missing or unsupported 'version'";
     return decoded;
   }
   auto command = json.get("command");
   if (!command || !command->get().is_string() ||
       command->get().as_string().empty()) {
-    decoded.error = ErrorCode::MalformedRequest;
     decoded.reason = "missing or non-string 'command'";
     return decoded;
   }
   decoded.request.command = command->get().as_string();
-  if (auto token = json.get("token")) {
-    if (!token->get().is_number()) {
-      decoded.error = ErrorCode::MalformedRequest;
-      decoded.reason = "field 'token' must be a number";
-      return decoded;
-    }
-  }
-  if (auto payload = json.get("payload")) {
-    if (!payload->get().is_object()) {
-      decoded.error = ErrorCode::MalformedRequest;
-      decoded.reason = "field 'payload' must be an object";
-      return decoded;
-    }
-    decoded.request.payload = payload->get();
-  }
-  return decoded;
-}
-
-DecodedRequestV2 parse_request_v2(const std::string& text) {
-  Json json;
-  try {
-    json = Json::parse(text);
-  } catch (const std::exception& error) {
-    DecodedRequestV2 decoded;
-    decoded.error = ErrorCode::MalformedRequest;
-    decoded.reason = std::string("malformed request: ") + error.what();
+  if (token && !token->get().is_number()) {
+    decoded.reason = "field 'token' must be a number";
     return decoded;
   }
-  return decode_request_v2(json);
+  if (!take_payload(json, decoded.request.payload)) {
+    decoded.reason = "field 'payload' must be an object";
+    return decoded;
+  }
+  decoded.error = ErrorCode::None;
+  return decoded;
 }
 
 std::string serialize_request_v2(const RequestV2& request) {
@@ -157,15 +159,6 @@ std::string serialize_response_v2(const ResponseV2& response) {
   }
   json["payload"] = response.payload;
   return json.dump();
-}
-
-std::string serialize_response_as_v1(const ResponseV2& response) {
-  GenericResponse v1;
-  v1.token = response.token;
-  v1.success = response.ok();
-  v1.reason = response.reason;
-  v1.payload = response.payload;
-  return serialize_response(v1);
 }
 
 std::string serialize_event_v2(const EventV2& event) {
@@ -208,11 +201,8 @@ ServerMessageV2 parse_server_message_v2(const std::string& text) {
       }
       message.response.reason = json.get_string("reason");
     }
-    if (auto payload = json.get("payload")) {
-      if (!payload->get().is_object()) {
-        throw std::runtime_error("field 'payload' must be an object");
-      }
-      message.response.payload = payload->get();
+    if (!take_payload(json, message.response.payload)) {
+      throw std::runtime_error("field 'payload' must be an object");
     }
   } else if (type == "event") {
     message.kind = ServerMessageV2::Kind::Event;
@@ -220,78 +210,13 @@ ServerMessageV2 parse_server_message_v2(const std::string& text) {
     if (message.event.event.empty()) {
       throw std::runtime_error("event message missing 'event'");
     }
-    if (auto payload = json.get("payload")) {
-      if (!payload->get().is_object()) {
-        throw std::runtime_error("field 'payload' must be an object");
-      }
-      message.event.payload = payload->get();
+    if (!take_payload(json, message.event.payload)) {
+      throw std::runtime_error("field 'payload' must be an object");
     }
   } else {
     throw std::runtime_error("unknown server message type '" + type + "'");
   }
   return message;
-}
-
-// -- v1 compat shim -----------------------------------------------------------
-
-const char* v2_command_name(CommandRequest::Command command) {
-  switch (command) {
-    case CommandRequest::Command::Continue: return "continue";
-    case CommandRequest::Command::Pause: return "pause";
-    case CommandRequest::Command::StepOver: return "step-over";
-    case CommandRequest::Command::StepBack: return "step-back";
-    case CommandRequest::Command::ReverseContinue: return "reverse-continue";
-    case CommandRequest::Command::Jump: return "jump";
-    case CommandRequest::Command::Detach: return "detach";
-  }
-  return "continue";
-}
-
-RequestV2 v2_from_v1(const Request& request) {
-  RequestV2 v2;
-  v2.token = request.token;
-  switch (request.kind) {
-    case Request::Kind::Breakpoint: {
-      v2.command = request.breakpoint.action == BreakpointRequest::Action::Add
-                       ? "breakpoint-add"
-                       : "breakpoint-remove";
-      v2.payload["filename"] = Json(request.breakpoint.filename);
-      v2.payload["line"] =
-          Json(static_cast<int64_t>(request.breakpoint.line));
-      v2.payload["column"] =
-          Json(static_cast<int64_t>(request.breakpoint.column));
-      if (!request.breakpoint.condition.empty()) {
-        v2.payload["condition"] = Json(request.breakpoint.condition);
-      }
-      break;
-    }
-    case Request::Kind::BpLocation:
-      v2.command = "bp-location";
-      v2.payload["filename"] = Json(request.bp_location.filename);
-      v2.payload["line"] =
-          Json(static_cast<int64_t>(request.bp_location.line));
-      break;
-    case Request::Kind::Command:
-      v2.command = v2_command_name(request.command.command);
-      if (request.command.command == CommandRequest::Command::Jump) {
-        v2.payload["time"] = Json(static_cast<int64_t>(request.command.time));
-      }
-      break;
-    case Request::Kind::Evaluation:
-      v2.command = "evaluate";
-      v2.payload["expression"] = Json(request.evaluation.expression);
-      if (request.evaluation.breakpoint_id) {
-        v2.payload["breakpoint_id"] = Json(*request.evaluation.breakpoint_id);
-      }
-      if (!request.evaluation.instance_name.empty()) {
-        v2.payload["instance_name"] = Json(request.evaluation.instance_name);
-      }
-      break;
-    case Request::Kind::DebuggerInfo:
-      v2.command = "info";
-      break;
-  }
-  return v2;
 }
 
 }  // namespace hgdb::rpc

@@ -41,15 +41,13 @@ class DapServer;
 ///    rpc::Channel plus a TCP accept loop (listen_tcp), dispatching v2
 ///    JSON envelopes through a *command registry* whose handlers decode
 ///    payloads and call the typed core — adding a request family means
-///    registering a handler, not editing the runtime core. v1 clients
-///    keep working through the translate shim, answered in the v1 wire
-///    format, byte-compatible with the pre-DebugService protocol;
+///    registering a handler, not editing the runtime core;
 ///  - the *DAP* front end (listen_dap): VSCode attaches over Content-
 ///    Length framing, sharing the same core — breakpoint refcounts, stop
 ///    routing, and the session limit span both protocols.
 class SessionManager {
  public:
-  using Command = rpc::CommandRequest::Command;
+  using Command = rpc::Command;
   /// A command handler fills in `response` (already carrying the echoed
   /// command/token). Throwing ServiceError maps to its typed code;
   /// std::invalid_argument to invalid-payload, std::out_of_range to
@@ -104,13 +102,6 @@ class SessionManager {
   /// Called by the runtime's scheduler when a stop fires; forwards to
   /// DebugService::deliver_stop (routing + handshake).
   Command deliver_stop(rpc::StopEvent event);
-
-  struct ServiceStats {
-    uint64_t requests = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t stops_broadcast = 0;
-  };
-  [[nodiscard]] ServiceStats service_stats() const;
 
  private:
   struct Entry {

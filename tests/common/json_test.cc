@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace hgdb::common {
 namespace {
 
@@ -113,6 +115,22 @@ TEST(Json, RoundTripLargeIntegers) {
   const int64_t big = 0x7fffffffffffffffll;
   Json value(big);
   EXPECT_EQ(Json::parse(value.dump()).as_int(), big);
+}
+
+TEST(Json, OutOfRangeDoublesSaturateAsInt) {
+  // Untrusted numbers reach as_int() through every request's version and
+  // token; casting an out-of-range double would be undefined behaviour.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Json::parse("1e300").as_int(), kMax);
+  EXPECT_EQ(Json::parse("-1e300").as_int(), kMin);
+  EXPECT_EQ(Json::parse("9223372036854775808.0").as_int(), kMax);
+  EXPECT_EQ(Json::parse("-9223372036854775808.0").as_int(), kMin);
+  EXPECT_EQ(Json::parse(R"({"t":1e300})").get_int("t"), kMax);
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).as_int(), kMax);
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).as_int(), kMin);
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).as_int(), 0);
+  EXPECT_EQ(Json(-2.9).as_int(), -2);  // in range: truncates toward zero
 }
 
 TEST(Json, EqualityDeep) {

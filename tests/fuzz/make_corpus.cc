@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "rpc/event_frame.h"
+#include "rpc/protocol.h"
+#include "rpc/protocol_v2.h"
 #include "session/dap_protocol.h"
 #include "waveform/manifest.h"
 
@@ -101,21 +103,74 @@ int main(int argc, char** argv) {
                stop_bytes.substr(0, stop_bytes.size() / 2));
   }
 
-  // -- protocol_v2: envelopes the session parser must survive -------------
+  // -- protocol_v2: requests the session parser and server messages the
+  //    client decoder must survive -------------------------------------
   {
     const std::string dir = root + "/protocol_v2/";
-    write_file(dir + "request",
-               R"({"hgdb": 2, "id": 1, "command": "evaluate",)"
-               R"( "payload": {"expression": "a + b"}})");
+    using hgdb::common::Json;
+    RequestV2 evaluate;
+    evaluate.command = "evaluate";
+    evaluate.token = 1;
+    evaluate.payload["expression"] = Json("a + b");
+    write_file(dir + "request", serialize_request_v2(evaluate));
+
     write_file(dir + "no_payload",
-               R"({"hgdb": 2, "id": 2, "command": "info"})");
-    write_file(dir + "bad_version", R"({"hgdb": 99, "id": 3})");
+               R"({"version": 2, "command": "info", "token": 2})");
+
+    RequestV2 subscribe;
+    subscribe.command = "subscribe";
+    subscribe.token = 4;
+    Json signals = Json::array();
+    signals.push_back(Json("a"));
+    signals.push_back(Json("b"));
+    subscribe.payload["signals"] = std::move(signals);
+    subscribe.payload["decimation"] = Json(10);
+    write_file(dir + "nested", serialize_request_v2(subscribe));
+
+    write_file(dir + "bad_version",
+               R"({"version": 1, "command": "info", "token": 3})");
+    // The pre-envelope request shape: rejected as malformed-request.
+    write_file(dir + "no_envelope",
+               R"({"type": "breakpoint", "filename": "a.cc", "token": 11})");
+    // Numbers far outside int64: version and token must saturate.
+    write_file(dir + "huge_numbers",
+               R"({"version":1e300,"command":"info","token":1e300})");
     write_file(dir + "not_object", R"([1, 2, 3])");
     write_file(dir + "not_json", "hello, world");
     write_file(dir + "empty", "");
-    write_file(dir + "nested",
-               R"({"hgdb": 2, "id": 4, "command": "subscribe",)"
-               R"( "payload": {"signals": ["a", "b"], "decimation": 10}})");
+
+    StopEvent stop;
+    stop.time = 1234;
+    Frame frame;
+    frame.breakpoint_id = 7;
+    frame.instance_name = "top.dut";
+    frame.filename = "design.sv";
+    frame.line = 42;
+    insert_nested(frame.locals, "io.out.bits", Json("5"));
+    frame.matched_conditions.push_back("a == b");
+    stop.frames.push_back(frame);
+    stop.watch_hits.push_back(WatchHit{9, "counter", "4", "5"});
+    write_file(dir + "stop_event",
+               serialize_event_v2(EventV2{"stop", stop_event_payload(stop)}));
+
+    ResponseV2 error;
+    error.command = "breakpoint-add";
+    error.token = 5;
+    error.fail(ErrorCode::NoSuchLocation, "no breakpoint at a.cc:9");
+    write_file(dir + "error_response", serialize_response_v2(error));
+
+    Json change = Json::object();
+    change["signal"] = Json("top.bus");
+    change["value"] = Json("3735928559");
+    change["width"] = Json(32);
+    Json changes = Json::array();
+    changes.push_back(std::move(change));
+    Json values = Json::object();
+    values["subscription"] = Json(11);
+    values["time"] = Json(5678);
+    values["changes"] = std::move(changes);
+    write_file(dir + "values_event",
+               serialize_event_v2(EventV2{"values", std::move(values)}));
   }
 
   // -- dap_codec: Content-Length framings -----------------------------------

@@ -17,7 +17,6 @@ namespace hgdb::session {
 namespace {
 
 using debugger::DebugClient;
-using debugger::Protocol;
 using rpc::ErrorCode;
 
 constexpr const char* kDesign = R"(circuit Demo
@@ -288,9 +287,8 @@ TEST_F(SessionTest, MalformedInputGetsTypedErrorAndSessionSurvives) {
   const uint16_t port = runtime_->serve_tcp(0);
   auto raw = rpc::tcp_connect("127.0.0.1", port);
 
-  // Garbage of every shape: each gets a structured v2 error (the channel
-  // was promoted by the first v2 envelope) or v1 generic error, and the
-  // session thread survives to answer the next request.
+  // Garbage of every shape gets a structured v2 error, and the session
+  // thread survives to answer the next request.
   raw->send(R"({"version":2,"command":"connect","token":1})");
   auto reply = raw->receive(std::chrono::milliseconds(2000));
   ASSERT_TRUE(reply.has_value());
@@ -328,27 +326,29 @@ TEST_F(SessionTest, MalformedInputGetsTypedErrorAndSessionSurvives) {
   EXPECT_TRUE(message.response.ok());
 }
 
-TEST_F(SessionTest, RawV1MessagesFlowThroughTheCompatShim) {
+TEST_F(SessionTest, EnvelopeLessRequestGetsMalformedRequestAndSessionSurvives) {
   const uint16_t port = runtime_->serve_tcp(0);
   auto raw = rpc::tcp_connect("127.0.0.1", port);
 
+  // A message without the v2 envelope (here, the old closed-enum request
+  // shape) is rejected, not executed; its token is still echoed.
   raw->send(
       R"({"type":"breakpoint","action":"add","filename":"demo.cc","line":7,"column":0,"token":11})");
   auto reply = raw->receive(std::chrono::milliseconds(2000));
   ASSERT_TRUE(reply.has_value());
-  const auto message = rpc::parse_server_message(*reply);
-  EXPECT_EQ(message.kind, rpc::ServerMessage::Kind::Generic);
-  EXPECT_EQ(message.generic.token, 11);
-  EXPECT_TRUE(message.generic.success);
-  EXPECT_EQ(message.generic.payload.get("ids")->get().size(), 1u);
+  auto message = rpc::parse_server_message_v2(*reply);
+  ASSERT_EQ(message.kind, rpc::ServerMessageV2::Kind::Response);
+  EXPECT_EQ(message.response.error, ErrorCode::MalformedRequest);
+  EXPECT_EQ(message.response.token, 11);
+  EXPECT_EQ(runtime_->inserted_count(), 0u);
 
-  // Malformed v1 gets a v1-format error, not a dead thread.
-  raw->send(R"({"type":"breakpoint","token":12})");
+  // The same connection keeps serving v2 requests.
+  raw->send(R"({"version":2,"command":"info","token":12})");
   reply = raw->receive(std::chrono::milliseconds(2000));
   ASSERT_TRUE(reply.has_value());
-  const auto error = rpc::parse_server_message(*reply);
-  EXPECT_FALSE(error.generic.success);
-  EXPECT_EQ(error.generic.token, 12);
+  message = rpc::parse_server_message_v2(*reply);
+  EXPECT_TRUE(message.response.ok());
+  EXPECT_EQ(message.response.token, 12);
 }
 
 TEST_F(SessionTest, SessionManagerExposesState) {
@@ -417,7 +417,7 @@ TEST(SessionGating, SetValueWorksWhenSupported) {
   runtime.stop_service();
 }
 
-TEST(SessionGating, V1ClientModeStillWorksAgainstTheSessionLayer) {
+TEST(SessionGating, ClientWithoutHandshakeWorksAgainstTheSessionLayer) {
   frontend::CompileOptions options;
   options.debug_mode = true;
   auto compiled = frontend::compile(ir::parse_circuit(kDesign), options);
@@ -429,7 +429,8 @@ TEST(SessionGating, V1ClientModeStillWorksAgainstTheSessionLayer) {
 
   auto [client_side, server_side] = rpc::make_channel_pair();
   runtime.serve(std::move(server_side));
-  DebugClient client(std::move(client_side), Protocol::V1);
+  // No connect(): the handshake is optional, requests work without it.
+  DebugClient client(std::move(client_side));
 
   ASSERT_EQ(client.set_breakpoint("demo.cc", 7).size(), 1u);
   std::thread sim_thread([&] {
